@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use lina_baselines::TrainScheme;
-use lina_core::{popularity_placement, PlacementConfig, PopularityEstimator};
+use lina_core::{popularity_placement, PathCounts, PlacementConfig, PopularityEstimator};
 use lina_model::{
     assign_replicas, balanced_routing, build_train_step, BatchShape, CostModel, DeviceSpec,
     ExpertPlacement, LayerRouting, MoeModelConfig,
@@ -100,6 +100,23 @@ fn bench_estimator() {
     let batch = src.sample_batch(16, 1024, Mode::Inference);
     bench("estimate_popularity_16k_tokens", || {
         est.estimate_popularity(&batch.tokens, 6, 1)
+    });
+    // One online re-estimation of an 8-batch sliding window: count the
+    // newest batch, un-count the evicted one, normalize.
+    let stream: Vec<TokenBatch> = (0..16)
+        .map(|_| src.sample_batch(16, 64, Mode::Inference))
+        .collect();
+    let window = 8;
+    let mut counts = PathCounts::new(3);
+    for b in &stream[..window] {
+        counts.add(b);
+    }
+    let mut next = window;
+    bench("window_push_evict_snapshot_l3", || {
+        counts.add(&stream[next % stream.len()]);
+        counts.remove(&stream[(next - window) % stream.len()]);
+        next += 1;
+        counts.snapshot()
     });
 }
 

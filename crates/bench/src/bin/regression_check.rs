@@ -13,8 +13,9 @@
 //! measures wall-clock time, which varies with the host), the
 //! per-scenario `wall_secs` timings, whose deltas are printed as
 //! `INFO` lines so CI logs track simulator throughput over time, and
-//! hedge/suspicion statistics (operational counters whose latency
-//! consequences the gated tail metrics already cover).
+//! the hedge counters listed in [`INFORMATIONAL_METRICS`] (operational
+//! counters whose latency consequences the gated tail metrics already
+//! cover). Every other metric is gated, hedge-related or not.
 //! A missing previous file is the first-run case and passes silently,
 //! so the gate bootstraps itself.
 //!
@@ -71,14 +72,36 @@ type MetricKey = (String, String);
 /// reported, but never allowed to fail the gate.
 const INFORMATIONAL_SCENARIOS: &[&str] = &["perf_microbench"];
 
-/// True for metrics the gate reports but never fails on. Beyond the
-/// wall-clock scenarios, hedge and suspicion statistics are
-/// operational counters (how often speculative dispatch fired, what it
-/// cost): the gated p99/attainment metrics already fail on any real
+/// Operational counters the gate reports but never fails on, as
+/// `(scenario id, metric name)`; a name ending in `_` covers the
+/// family of per-arm metrics `<name><arm>_x<intensity>`. They count
+/// how often speculative dispatch fired and won and what compute it
+/// burned: the gated p99/attainment metrics already fail on any real
 /// regression they would cause, so their own drift under intentional
 /// re-tuning stays informational.
+const INFORMATIONAL_METRICS: &[(&str, &str)] = &[
+    ("serve_gray", "hedges_issued_"),
+    ("serve_gray", "hedges_won_"),
+    ("serve_gray", "hedge_wasted_frac_"),
+    ("serve_gray", "hedge_wasted_compute_frac"),
+];
+
+/// True for a metric listed in [`INFORMATIONAL_METRICS`].
+fn informational_metric(id: &str, name: &str) -> bool {
+    INFORMATIONAL_METRICS.iter().any(|&(sid, metric)| {
+        sid == id
+            && if metric.ends_with('_') {
+                name.starts_with(metric)
+            } else {
+                name == metric
+            }
+    })
+}
+
+/// True for metrics the gate reports but never fails on: every metric
+/// of a wall-clock scenario, and the listed operational counters.
 fn informational(id: &str, name: &str) -> bool {
-    INFORMATIONAL_SCENARIOS.contains(&id) || name.contains("hedge") || name.contains("suspicion")
+    INFORMATIONAL_SCENARIOS.contains(&id) || informational_metric(id, name)
 }
 
 /// Flattens a summary into `(key, value)` pairs, in document order.
@@ -200,7 +223,7 @@ fn main() -> ExitCode {
         let drift = (now - prev).abs() / prev.abs().max(f64::MIN_POSITIVE);
         if !drift.is_finite() || drift > args.tolerance {
             if informational(id, name) {
-                // Wall-clock scenario or hedge/suspicion counter: the
+                // Wall-clock scenario or hedge counter: the
                 // drift is host noise or re-tuning, not a result
                 // regression. Surface it, don't gate on it.
                 println!("INFO  {id}/{name}: {prev} -> {now} (informational, not gated)");
@@ -223,12 +246,12 @@ fn main() -> ExitCode {
             println!("INFO  {id}/{name}: {value:.4} (informational, not gated)");
         }
     }
-    // Hedge and suspicion trend lines: how often speculative dispatch
-    // fired, how often it won, and what fraction of compute it burned.
+    // Hedge trend lines: how often speculative dispatch fired, how
+    // often it won, and what fraction of compute it burned.
     // Informational for the same reason as above — the gated tail and
     // attainment metrics own the pass/fail decision.
     for ((id, name), value) in cur.iter() {
-        if name.contains("hedge") || name.contains("suspicion") {
+        if informational_metric(id, name) {
             println!("INFO  {id}/{name}: {value:.4} (informational, not gated)");
         }
     }
@@ -256,5 +279,36 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hedge_outcomes_are_gated() {
+        for name in [
+            "hedged_over_unhedged_p99",
+            "p99_ms_detector_hedged_x8",
+            "attainment_detector_hedged_x8",
+            "gray_replica_share_detector_hedged_x8",
+        ] {
+            assert!(!informational("serve_gray", name), "{name} must be gated");
+        }
+    }
+
+    #[test]
+    fn hedge_counters_and_wall_clock_scenarios_are_informational() {
+        for name in [
+            "hedges_issued_detector_hedged_x8",
+            "hedges_won_detector_hedged_x2",
+            "hedge_wasted_frac_detector_hedged_x4",
+            "hedge_wasted_compute_frac",
+        ] {
+            assert!(informational("serve_gray", name), "{name} is a counter");
+        }
+        assert!(!informational("serve_faults", "hedges_issued_x8"));
+        assert!(informational("perf_microbench", "speedup_x"));
     }
 }

@@ -8,102 +8,109 @@
 //! looked up; its top-k next-layer experts and their probabilities feed
 //! Eq. (1) to estimate per-expert device demand before the gate runs.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use lina_workload::{TokenBatch, TokenPath};
 
 /// Profiled `Ψ` tables and lookup logic.
+///
+/// A path of primary experts `e_{i-len+1}, ..., e_i` is keyed by its
+/// *path code*, the base-`experts` number `Σ e_j · experts^(i-j)`: the
+/// expert at layer `i` is the least significant digit. A table holds
+/// paths of one length, so a code identifies its path uniquely, and
+/// the codes' numeric order is the paths' lexicographic order.
 #[derive(Clone, Debug)]
 pub struct PopularityEstimator {
     /// Sample-path length `l`.
     path_length: usize,
     experts: usize,
     layers: usize,
-    /// `tables[len-1][i]` maps a path of primary experts for layers
-    /// `i-len+1 ..= i` to the selection distribution at layer `i+1`.
-    /// Lengths 1..=l are all profiled so lookups can back off from the
-    /// full path to shorter suffixes when a path was never observed.
-    tables: Vec<Vec<BTreeMap<Vec<u16>, Vec<f64>>>>,
-    /// Fallback per-layer marginal distribution for unseen paths.
-    marginals: Vec<Vec<f64>>,
+    /// `tables[i][len-1]` maps the code of the path of primary experts
+    /// for layers `i-len+1 ..= i` to the selection distribution at
+    /// layer `i+1`. Lengths 1..=l are all profiled so lookups can back
+    /// off from the full path to shorter suffixes when a path was never
+    /// observed; a path cannot reach below layer 0, so layer `i` has
+    /// `min(l, i+1)` tables.
+    tables: Vec<Vec<PathTable>>,
+    /// Fallback per-layer marginal distribution for unseen paths, one
+    /// entry per layer.
+    marginals: Dists,
+}
+
+/// One `(length, layer)` table: sorted path codes and their
+/// distributions, entry for entry.
+#[derive(Clone, Debug, Default)]
+struct PathTable {
+    codes: Vec<u64>,
+    dists: Dists,
+}
+
+impl PathTable {
+    /// The table of sorted `codes` whose next-layer counts are the
+    /// consecutive `experts`-wide rows of `rows`.
+    fn new(codes: &[u64], rows: &[u32], experts: usize) -> Self {
+        let mut dists = Dists {
+            probs: Vec::with_capacity(rows.len()),
+            order: Vec::with_capacity(rows.len()),
+        };
+        for counts in rows.chunks_exact(experts) {
+            dists.push(counts);
+        }
+        PathTable {
+            codes: codes.to_vec(),
+            dists,
+        }
+    }
+}
+
+/// Normalized distributions over the experts, stored flat: entry `i`
+/// owns `probs[i*experts..(i+1)*experts]`, and the same range of
+/// `order` lists its experts by descending probability, ties to the
+/// lower id (the order [`top_indices`] returns).
+#[derive(Clone, Debug, Default)]
+struct Dists {
+    probs: Vec<f64>,
+    order: Vec<u16>,
+}
+
+impl Dists {
+    /// Appends the distribution of integer `counts` (sum > 0). A count
+    /// and its total are exact in `f64`, so each probability is the
+    /// correctly rounded quotient, whatever order the counts were
+    /// accumulated in.
+    fn push(&mut self, counts: &[u32]) {
+        let total = counts.iter().map(|&c| u64::from(c)).sum::<u64>() as f64;
+        let start = self.probs.len();
+        self.probs.extend(counts.iter().map(|&c| c as f64 / total));
+        let probs = &self.probs[start..];
+        self.order.extend(0..counts.len() as u16);
+        self.order[start..].sort_unstable_by(|&a, &b| descending(probs, a as usize, b as usize));
+    }
+
+    /// Entry `i`'s probabilities and descending expert order.
+    fn get(&self, i: usize, experts: usize) -> (&[f64], &[u16]) {
+        let range = i * experts..(i + 1) * experts;
+        (&self.probs[range.clone()], &self.order[range])
+    }
 }
 
 impl PopularityEstimator {
-    /// Profiles the estimator from training-distribution batches.
+    /// Profiles the estimator from training-distribution batches: every
+    /// batch is counted into a [`PathCounts`], which is then normalized.
     ///
     /// # Panics
     ///
     /// Panics if `path_length` is zero, no batches are given, or the
     /// batches are empty.
     pub fn profile(batches: &[TokenBatch], path_length: usize) -> Self {
-        assert!(path_length > 0, "profile: zero path length");
         assert!(!batches.is_empty(), "profile: no batches");
-        let experts = batches[0].experts;
-        let layers = batches[0].tokens[0].selections.len();
-        let mut counts: Vec<Vec<BTreeMap<Vec<u16>, Vec<f64>>>> = (0..path_length)
-            .map(|_| {
-                (0..layers.saturating_sub(1))
-                    .map(|_| BTreeMap::new())
-                    .collect()
-            })
-            .collect();
-        let mut marginal_counts = vec![vec![0.0f64; experts]; layers];
+        let mut counts = PathCounts::new(path_length);
         for batch in batches {
-            for tok in &batch.tokens {
-                for layer in 0..layers {
-                    marginal_counts[layer][tok.primary(layer) as usize] += 1.0;
-                    if layer + 1 < layers {
-                        for len in 1..=path_length {
-                            let key = tok.path_suffix(layer, len);
-                            let dist = counts[len - 1][layer]
-                                .entry(key)
-                                .or_insert_with(|| vec![0.0; experts]);
-                            dist[tok.primary(layer + 1) as usize] += 1.0;
-                        }
-                    }
-                }
-            }
+            counts.add(batch);
         }
-        let tables = counts
-            .into_iter()
-            .map(|per_layer| {
-                per_layer
-                    .into_iter()
-                    .map(|m| {
-                        m.into_iter()
-                            .map(|(k, mut dist)| {
-                                let total: f64 = dist.iter().sum();
-                                if total > 0.0 {
-                                    for v in &mut dist {
-                                        *v /= total;
-                                    }
-                                }
-                                (k, dist)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let marginals = marginal_counts
-            .into_iter()
-            .map(|mut dist| {
-                let total: f64 = dist.iter().sum();
-                if total > 0.0 {
-                    for v in &mut dist {
-                        *v /= total;
-                    }
-                }
-                dist
-            })
-            .collect();
-        PopularityEstimator {
-            path_length,
-            experts,
-            layers,
-            tables,
-            marginals,
-        }
+        counts.snapshot()
     }
 
     /// The profiled path length `l`.
@@ -121,24 +128,63 @@ impl PopularityEstimator {
         self.layers
     }
 
+    /// The table of paths of length `len` ending at `layer`, if any.
+    /// Paths longer than `layer + 1` are cut at layer 0, so they share
+    /// the `layer + 1` table.
+    fn table(&self, len: usize, layer: usize) -> Option<&PathTable> {
+        let per_len = self.tables.get(layer)?;
+        per_len.get(len.min(per_len.len()).checked_sub(1)?)
+    }
+
     /// Number of distinct full-length profiled paths ending at `layer`.
     pub fn paths_at(&self, layer: usize) -> usize {
-        self.tables[self.path_length - 1]
-            .get(layer)
-            .map_or(0, BTreeMap::len)
+        self.table(self.path_length, layer)
+            .map_or(0, |t| t.codes.len())
+    }
+
+    /// The profiled paths of length `len` (`1..=l`) ending at `layer`,
+    /// as `(path code, Ψ distribution)` in ascending code order. Empty
+    /// for the last layer, which has no next layer.
+    pub fn paths(&self, len: usize, layer: usize) -> impl Iterator<Item = (u64, &[f64])> {
+        assert!(
+            (1..=self.path_length).contains(&len),
+            "paths: length {len} outside 1..={}",
+            self.path_length
+        );
+        let experts = self.experts;
+        self.table(len, layer).into_iter().flat_map(move |t| {
+            t.codes
+                .iter()
+                .zip(t.dists.probs.chunks_exact(experts))
+                .map(|(&code, dist)| (code, dist))
+        })
+    }
+
+    /// The marginal selection distribution at `layer`.
+    pub fn marginal(&self, layer: usize) -> &[f64] {
+        self.marginals.get(layer, self.experts).0
+    }
+
+    /// The distribution [`Self::next_layer_distribution`] returns, with
+    /// its descending expert order.
+    fn lookup(&self, token: &TokenPath, layer: usize) -> (&[f64], &[u16]) {
+        if let Some(per_len) = self.tables.get(layer) {
+            for (len, table) in per_len.iter().enumerate().rev() {
+                let code = path_code(token, layer, len + 1, self.experts);
+                if let Ok(i) = table.codes.binary_search(&code) {
+                    return table.dists.get(i, self.experts);
+                }
+            }
+        }
+        self.marginals
+            .get((layer + 1).min(self.layers - 1), self.experts)
     }
 
     /// `Ψ_j^{layer+1}` for the token's observed path up to `layer`.
     /// Unseen full-length paths back off to progressively shorter
     /// suffixes, and finally to the layer marginal.
     pub fn next_layer_distribution(&self, token: &TokenPath, layer: usize) -> &[f64] {
-        for len in (1..=self.path_length).rev() {
-            let key = token.path_suffix(layer, len);
-            if let Some(dist) = self.tables[len - 1].get(layer).and_then(|t| t.get(&key)) {
-                return dist;
-            }
-        }
-        &self.marginals[(layer + 1).min(self.layers - 1)]
+        self.lookup(token, layer).0
     }
 
     /// Eq. (1)'s aggregate: estimated popularity of each expert at
@@ -155,10 +201,11 @@ impl PopularityEstimator {
         if tokens.is_empty() {
             return agg;
         }
+        let k = top_k.min(self.experts);
         for tok in tokens {
-            let dist = self.next_layer_distribution(tok, layer);
-            for &e in top_indices(dist, top_k).iter() {
-                agg[e] += dist[e];
+            let (dist, order) = self.lookup(tok, layer);
+            for &e in &order[..k] {
+                agg[e as usize] += dist[e as usize];
             }
         }
         for v in &mut agg {
@@ -218,14 +265,290 @@ impl PopularityEstimator {
 /// ordered by descending value.
 pub fn top_indices(values: &[f64], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| {
-        values[b]
-            .partial_cmp(&values[a])
-            .expect("finite popularity")
-            .then(a.cmp(&b))
-    });
+    idx.sort_by(|&a, &b| descending(values, a, b));
     idx.truncate(k);
     idx
+}
+
+/// The ranking [`top_indices`] sorts by: descending value, ties to the
+/// lower index.
+///
+/// # Panics
+///
+/// Panics if either value is NaN.
+fn descending(values: &[f64], a: usize, b: usize) -> Ordering {
+    values[b]
+        .partial_cmp(&values[a])
+        .expect("finite popularity")
+        .then(a.cmp(&b))
+}
+
+/// Integer path counts behind a [`PopularityEstimator`], kept
+/// incrementally: batches can be added and removed in any order, and
+/// [`PathCounts::snapshot`] normalizes whatever is counted. Only the
+/// longest path ending at each layer is counted; a shorter suffix's
+/// counts are the sums over the longer paths that end in it, formed at
+/// snapshot. A path whose count falls back to zero is dropped, so the
+/// counted paths are always exactly those a from-scratch count of the
+/// same batches would hold, and the snapshot is bit-identical to
+/// [`PopularityEstimator::profile`] over them.
+#[derive(Clone, Debug)]
+pub struct PathCounts {
+    path_length: usize,
+    /// Experts and layers of the counted batches; both zero until the
+    /// first non-empty batch fixes them.
+    experts: usize,
+    layers: usize,
+    /// `index[i]` maps the code of a counted path of length
+    /// `min(path_length, i+1)` ending at layer `i` to its slot.
+    index: Vec<HashMap<u64, usize, CodeHash>>,
+    /// Per slot, `experts` next-layer selection counts, then their sum.
+    slots: Vec<u32>,
+    /// Slots whose path was dropped, for reuse.
+    free: Vec<usize>,
+    /// `marginal[i * experts + e]`: counted tokens whose primary expert
+    /// at layer `i` is `e`.
+    marginal: Vec<u32>,
+}
+
+impl PathCounts {
+    /// Empty counts for sample paths up to `path_length` layers long.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `path_length` is zero.
+    pub fn new(path_length: usize) -> Self {
+        assert!(path_length > 0, "profile: zero path length");
+        PathCounts {
+            path_length,
+            experts: 0,
+            layers: 0,
+            index: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            marginal: Vec::new(),
+        }
+    }
+
+    /// Counts every token of `batch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch's experts or layers differ from those
+    /// already counted, or its path codes would overflow a `u64`.
+    pub fn add(&mut self, batch: &TokenBatch) {
+        let Some(first) = batch.tokens.first() else {
+            return;
+        };
+        if self.layers == 0 {
+            self.size(batch.experts, first.selections.len());
+        }
+        self.update(batch, true);
+    }
+
+    /// Un-counts every token of `batch`, which must have been added.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build, if a count would fall below zero: the
+    /// batch was never added, or was already removed.
+    pub fn remove(&mut self, batch: &TokenBatch) {
+        if !batch.tokens.is_empty() {
+            self.update(batch, false);
+        }
+    }
+
+    /// Drops every count, keeping the allocations for reuse.
+    pub fn clear(&mut self) {
+        for map in &mut self.index {
+            map.clear();
+        }
+        self.slots.clear();
+        self.free.clear();
+        self.marginal.fill(0);
+    }
+
+    /// True if no token is counted.
+    pub fn is_empty(&self) -> bool {
+        self.marginal[..self.experts].iter().all(|&c| c == 0)
+    }
+
+    /// Normalizes the current counts into an estimator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no token is counted.
+    pub fn snapshot(&self) -> PopularityEstimator {
+        assert!(
+            self.layers > 0 && !self.is_empty(),
+            "profile: no tokens counted"
+        );
+        let experts = self.experts;
+        let stride = experts + 1;
+        let tables = self
+            .index
+            .iter()
+            .enumerate()
+            .map(|(layer, map)| {
+                let longest = self.path_length.min(layer + 1);
+                let mut keys: Vec<(u64, usize)> =
+                    map.iter().map(|(&code, &slot)| (code, slot)).collect();
+                keys.sort_unstable();
+                let mut codes: Vec<u64> = keys.iter().map(|&(code, _)| code).collect();
+                let mut rows: Vec<u32> = keys
+                    .iter()
+                    .flat_map(|&(_, slot)| &self.slots[slot * stride..][..experts])
+                    .copied()
+                    .collect();
+                let mut per_len = vec![PathTable::new(&codes, &rows, experts)];
+                for len in (1..longest).rev() {
+                    let modulus = (experts as u64).pow(len as u32);
+                    (codes, rows) = suffix_sums(&codes, &rows, experts, modulus);
+                    per_len.push(PathTable::new(&codes, &rows, experts));
+                }
+                per_len.reverse();
+                per_len
+            })
+            .collect();
+        let mut marginals = Dists::default();
+        for counts in self.marginal.chunks_exact(experts) {
+            marginals.push(counts);
+        }
+        PopularityEstimator {
+            path_length: self.path_length,
+            experts,
+            layers: self.layers,
+            tables,
+            marginals,
+        }
+    }
+
+    fn size(&mut self, experts: usize, layers: usize) {
+        let longest = self.path_length.min(layers.saturating_sub(1));
+        assert!(
+            (experts as u64).checked_pow(longest as u32).is_some(),
+            "profile: {experts}^{longest} path codes overflow u64"
+        );
+        self.experts = experts;
+        self.layers = layers;
+        self.index = vec![HashMap::default(); layers.saturating_sub(1)];
+        self.marginal = vec![0; layers * experts];
+    }
+
+    /// Adds (`add`) or removes one count per token and layer.
+    fn update(&mut self, batch: &TokenBatch, add: bool) {
+        assert!(
+            batch.experts == self.experts && batch.tokens[0].selections.len() == self.layers,
+            "PathCounts: batch shape differs from the counted batches"
+        );
+        let experts = self.experts;
+        let stride = experts + 1;
+        for tok in &batch.tokens {
+            for layer in 0..self.layers {
+                bump(
+                    &mut self.marginal[layer * experts + tok.primary(layer) as usize],
+                    add,
+                );
+                let Some(map) = self.index.get_mut(layer) else {
+                    continue;
+                };
+                let code = path_code(tok, layer, self.path_length, experts);
+                let slot = match map.get(&code) {
+                    Some(&slot) => slot,
+                    None => {
+                        assert!(add, "PathCounts: removing a path that was never added");
+                        let slot = self.free.pop().unwrap_or_else(|| {
+                            self.slots.resize(self.slots.len() + stride, 0);
+                            self.slots.len() / stride - 1
+                        });
+                        map.insert(code, slot);
+                        slot
+                    }
+                };
+                let row = &mut self.slots[slot * stride..][..stride];
+                bump(&mut row[tok.primary(layer + 1) as usize], add);
+                bump(&mut row[experts], add);
+                if row[experts] == 0 {
+                    map.remove(&code);
+                    self.free.push(slot);
+                }
+            }
+        }
+    }
+}
+
+/// Sums the `experts`-wide count rows of the paths `codes` by their
+/// suffix `code % modulus` (a suffix is a code's least significant
+/// digits), returning the sorted suffix codes and their rows.
+fn suffix_sums(codes: &[u64], rows: &[u32], experts: usize, modulus: u64) -> (Vec<u64>, Vec<u32>) {
+    let mut suffixes: Vec<(u64, usize)> = codes
+        .iter()
+        .enumerate()
+        .map(|(i, &code)| (code % modulus, i))
+        .collect();
+    suffixes.sort_unstable();
+    let mut sum_codes: Vec<u64> = Vec::new();
+    let mut sum_rows: Vec<u32> = Vec::new();
+    for (code, i) in suffixes {
+        if sum_codes.last() != Some(&code) {
+            sum_codes.push(code);
+            sum_rows.resize(sum_rows.len() + experts, 0);
+        }
+        let sum = sum_rows.len() - experts;
+        for (s, &c) in sum_rows[sum..]
+            .iter_mut()
+            .zip(&rows[i * experts..][..experts])
+        {
+            *s += c;
+        }
+    }
+    (sum_codes, sum_rows)
+}
+
+/// The code of `token`'s path of primary experts for layers
+/// `layer-len+1 ..= layer`, cut at layer 0.
+fn path_code(token: &TokenPath, layer: usize, len: usize, experts: usize) -> u64 {
+    ((layer + 1).saturating_sub(len)..=layer)
+        .fold(0, |code, i| code * experts as u64 + token.primary(i) as u64)
+}
+
+/// Adds or removes one count.
+///
+/// # Panics
+///
+/// Panics, in every build, if the count would fall below zero.
+fn bump(count: &mut u32, add: bool) {
+    *count = if add {
+        *count + 1
+    } else {
+        count
+            .checked_sub(1)
+            .expect("PathCounts: count below zero (batch removed but never added)")
+    };
+}
+
+/// Hashes path codes with a fixed, seedless folded multiply, so the
+/// counting tables behave the same in every run.
+type CodeHash = BuildHasherDefault<CodeHasher>;
+
+#[derive(Default)]
+struct CodeHasher(u64);
+
+impl Hasher for CodeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ (m >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]
@@ -243,6 +566,18 @@ mod tests {
     }
 
     #[test]
+    fn path_codes_put_the_last_layer_least_significant() {
+        let tok = TokenPath {
+            class: 0,
+            selections: vec![vec![3], vec![7], vec![1], vec![4]],
+        };
+        assert_eq!(path_code(&tok, 3, 2, 8), 8 + 4);
+        // Paths are cut at layer 0.
+        assert_eq!(path_code(&tok, 3, 10, 8), ((3 * 8 + 7) * 8 + 1) * 8 + 4);
+        assert_eq!(path_code(&tok, 0, 3, 8), 3);
+    }
+
+    #[test]
     fn top_indices_basics() {
         assert_eq!(top_indices(&[0.1, 0.5, 0.3], 2), vec![1, 2]);
         assert_eq!(top_indices(&[0.5, 0.5], 1), vec![0]);
@@ -252,16 +587,14 @@ mod tests {
     #[test]
     fn distributions_are_normalized() {
         let (est, _) = profiled(3);
-        for per_layer in &est.tables {
-            for layer_tables in per_layer {
-                for dist in layer_tables.values() {
+        for layer in 0..est.layers() {
+            for len in 1..=3 {
+                for (_, dist) in est.paths(len, layer) {
                     let total: f64 = dist.iter().sum();
                     assert!((total - 1.0).abs() < 1e-9, "sum {total}");
                 }
             }
-        }
-        for m in &est.marginals {
-            let total: f64 = m.iter().sum();
+            let total: f64 = est.marginal(layer).iter().sum();
             assert!((total - 1.0).abs() < 1e-9);
         }
     }

@@ -6,6 +6,6 @@ pub mod estimator;
 pub mod placement;
 pub mod twophase;
 
-pub use estimator::{top_indices, PopularityEstimator};
+pub use estimator::{top_indices, PathCounts, PopularityEstimator};
 pub use placement::{popularity_placement, PlacementConfig};
 pub use twophase::{PhaseOne, PhaseTwo, TwoPhaseConfig, TwoPhaseScheduler};

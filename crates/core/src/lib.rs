@@ -23,8 +23,8 @@ pub mod policy;
 pub mod training;
 
 pub use inference::{
-    popularity_placement, top_indices, PhaseOne, PhaseTwo, PlacementConfig, PopularityEstimator,
-    TwoPhaseConfig, TwoPhaseScheduler,
+    popularity_placement, top_indices, PathCounts, PhaseOne, PhaseTwo, PlacementConfig,
+    PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler,
 };
 pub use policy::{ActiveComm, CommPolicy, CommView, PendingComm};
 pub use training::{

@@ -75,8 +75,9 @@
 //!
 //! An armed [`ReshardConfig`] turns the static expert placement
 //! dynamic. At every re-shard tick the policy sees each expert's share
-//! of the token-selections in a sliding monitoring window (the same
-//! [`ReestimationWindow`] machinery the online re-estimator uses) and
+//! of the token-selections in a sliding monitoring window (a
+//! [`LoadWindow`] over the same dispatched batches the online
+//! re-estimator samples) and
 //! may emit [`ReshardAction`]s. Applying any action charges every
 //! healthy replica the modeled PCIe transfer for the weights moved
 //! ([`provisioning::reshard_transfer`]), flushes every monitoring and
@@ -148,7 +149,7 @@ use lina_workload::{TokenBatch, WorkloadSpec};
 use crate::autoscale::{AutoscaleConfig, AutoscalePolicy, ClusterObservation, ScaleDecision};
 use crate::balancer::{BalancerKind, LoadBalancer, ReplicaSnapshot, RoundRobin};
 use crate::batcher::{Batcher, Dispatch};
-use crate::engine::{ReestimationWindow, ServeConfig, ServeEngine};
+use crate::engine::{LoadWindow, ReestimationWindow, ServeConfig, ServeEngine};
 use crate::faults::{DegradationPolicy, FaultEvent, FaultKind, FaultPlan, FaultSchedule};
 use crate::health::{DetectorKind, HealthConfig, HealthMonitor, HedgeConfig};
 use crate::provisioning;
@@ -641,7 +642,7 @@ struct ReshardRuntime {
     /// The per-expert load monitor: a sliding window over recently
     /// dispatched batches, flushed on every shard-map change so stale
     /// pre-change samples never drive the next decision.
-    window: ReestimationWindow,
+    window: LoadWindow,
     /// The live per-layer shard map every dispatch plans against once
     /// `dirty`. Actuation mutates every layer in lockstep (see
     /// [`ExpertPlacement::add_replica`] and friends), so a uniform
@@ -1258,42 +1259,17 @@ impl ClusterSim<'_, '_> {
         self.emergency_replacements += 1;
         // The emergency re-placement rebuilt the expert layout, so
         // every memoized plan was computed against a placement that no
-        // longer exists: bump the plan-cache epoch *unconditionally* —
-        // even for non-estimating schemes and empty windows — or a
-        // same-content batch after the loss would be served a stale
-        // cached plan.
-        self.epoch_counter += 1;
-        match self.sharing {
-            EstimatorSharing::Shared => self.shared_epoch = self.epoch_counter,
-            EstimatorSharing::PerReplica => self.replicas[i].epoch = self.epoch_counter,
-        }
-        // Re-profile immediately from whatever the window holds — an
+        // longer exists: stamp a fresh plan-cache epoch
+        // *unconditionally* — even for non-estimating schemes and empty
+        // windows — or a same-content batch after the loss would be
+        // served a stale cached plan. Estimating schemes also
+        // re-profile immediately from whatever the window holds — an
         // out-of-cycle rebuild (not counted as a periodic
         // re-estimation) so the next plan reflects current popularity
         // — then flush the source window: its samples were gathered
         // under the pre-loss placement.
-        if self.engine.estimates() {
-            let path_length = self.engine.config.path_length;
-            match self.sharing {
-                EstimatorSharing::Shared => {
-                    if !self.shared_window.is_empty() {
-                        let estimator = self.shared_window.profile(path_length);
-                        self.shared_scheduler =
-                            Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
-                        self.shared_window.clear();
-                    }
-                }
-                EstimatorSharing::PerReplica => {
-                    let rep = &mut self.replicas[i];
-                    if !rep.window.is_empty() {
-                        let estimator = rep.window.profile(path_length);
-                        rep.scheduler =
-                            Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
-                        rep.window.clear();
-                    }
-                }
-            }
-        }
+        let estimates = self.engine.estimates();
+        self.restamp_scheduler(i, estimates).clear();
         // A dynamic shard map does not survive the loss either: the
         // emergency re-replication restores the run's base layout, and
         // the proactive controller restarts from scratch.
@@ -1441,7 +1417,10 @@ impl ClusterSim<'_, '_> {
                 // same starting point the initial pool had).
                 scheduler: self.shared_scheduler.clone(),
                 epoch: self.shared_epoch,
-                window: ReestimationWindow::new(engine.config.reestimate_window),
+                window: ReestimationWindow::new(
+                    engine.config.reestimate_window,
+                    engine.config.path_length,
+                ),
                 batches: 0,
                 healthy: true,
                 devices_lost: 0,
@@ -1533,7 +1512,7 @@ impl ClusterSim<'_, '_> {
         let at = rt.next_at;
         rt.next_at = at + rt.config.interval;
         self.now = at;
-        let counts = rt.window.expert_token_counts(experts);
+        let counts = rt.window.expert_token_counts();
         let total: u64 = counts.iter().sum();
         let share: Vec<f64> = counts
             .iter()
@@ -1985,7 +1964,7 @@ impl ClusterSim<'_, '_> {
         let needs_window = reestimates || self.resharding.is_some();
         let rep = &self.replicas[i];
         let members = &rep.queue[rep.next..rep.next + d.count];
-        let mut batch = (needs_window || cached.is_none()).then(|| TokenBatch {
+        let batch = (needs_window || cached.is_none()).then(|| TokenBatch {
             tokens: members
                 .iter()
                 .flat_map(|r| r.tokens.iter().cloned())
@@ -2106,54 +2085,63 @@ impl ClusterSim<'_, '_> {
             }
         }
 
-        // The re-shard load monitor samples every dispatched batch
-        // (sharing the materialized copy with the re-estimator when
-        // both are armed).
+        // The re-shard load monitor samples every dispatched batch.
         if let Some(rt) = &mut self.resharding {
-            let sample = if reestimates {
-                batch.clone()
-            } else {
-                batch.take()
-            };
-            rt.window
-                .push(sample.expect("armed re-sharding materializes the batch"));
+            rt.window.push(
+                batch
+                    .as_ref()
+                    .expect("armed re-sharding materializes the batch"),
+            );
         }
 
         // Online re-placement: pool observations cluster-wide (shared)
-        // or keep them replica-local (per-replica). Every rebuild
-        // stamps a fresh plan-cache epoch.
+        // or keep them replica-local (per-replica).
         if reestimates {
             if let Some(every) = self.engine.config.reestimate_every {
-                let path_length = self.engine.config.path_length;
                 let batch = batch.expect("estimating runs materialize the batch");
-                match self.sharing {
+                let dispatched = match self.sharing {
                     EstimatorSharing::Shared => {
                         self.shared_window.push(batch);
-                        if self.total_batches.is_multiple_of(every) {
-                            let estimator = self.shared_window.profile(path_length);
-                            self.shared_scheduler =
-                                Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
-                            self.reestimations += 1;
-                            self.epoch_counter += 1;
-                            self.shared_epoch = self.epoch_counter;
-                        }
+                        self.total_batches
                     }
                     EstimatorSharing::PerReplica => {
-                        self.epoch_counter += 1;
-                        let epoch = self.epoch_counter;
-                        let rep = &mut self.replicas[i];
-                        rep.window.push(batch);
-                        if rep.batches.is_multiple_of(every) {
-                            let estimator = rep.window.profile(path_length);
-                            rep.scheduler =
-                                Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
-                            self.reestimations += 1;
-                            rep.epoch = epoch;
-                        }
+                        self.replicas[i].window.push(batch);
+                        self.replicas[i].batches
                     }
+                };
+                if dispatched.is_multiple_of(every) {
+                    self.restamp_scheduler(i, true);
+                    self.reestimations += 1;
                 }
             }
         }
+    }
+
+    /// Gives the scheduler replica `i` plans with (the shared one under
+    /// shared sharing) a fresh plan-cache epoch, first re-profiling it
+    /// from its re-estimation window when `reprofile` is set and the
+    /// window holds samples. Returns that window.
+    fn restamp_scheduler(&mut self, i: usize, reprofile: bool) -> &mut ReestimationWindow {
+        self.epoch_counter += 1;
+        let (scheduler, window, epoch) = match self.sharing {
+            EstimatorSharing::Shared => (
+                &mut self.shared_scheduler,
+                &mut self.shared_window,
+                &mut self.shared_epoch,
+            ),
+            EstimatorSharing::PerReplica => {
+                let rep = &mut self.replicas[i];
+                (&mut rep.scheduler, &mut rep.window, &mut rep.epoch)
+            }
+        };
+        *epoch = self.epoch_counter;
+        if reprofile && !window.is_empty() {
+            *scheduler = Some(TwoPhaseScheduler::new(
+                self.two_phase.clone(),
+                window.profile(),
+            ));
+        }
+        window
     }
 
     /// Expires every queued request whose deadline has passed; the
@@ -2642,7 +2630,7 @@ fn run_stream<'x>(
             queued_tokens: 0,
             scheduler: offline.clone(),
             epoch: 0,
-            window: ReestimationWindow::new(config.reestimate_window),
+            window: ReestimationWindow::new(config.reestimate_window, config.path_length),
             batches: 0,
             healthy: true,
             devices_lost: 0,
@@ -2678,7 +2666,7 @@ fn run_stream<'x>(
     let resharding = resharding.map(|cfg| ReshardRuntime {
         policy: cfg.policy.build(),
         next_at: SimTime::ZERO + cfg.interval,
-        window: ReestimationWindow::new(cfg.window),
+        window: LoadWindow::new(cfg.window, engine.spec.experts),
         shard_map: default_shard_map(
             placement,
             engine.spec.experts,
@@ -2709,7 +2697,7 @@ fn run_stream<'x>(
         // or the scheme never re-estimates; per-replica mode uses the
         // copies inside each Replica instead).
         shared_scheduler: offline,
-        shared_window: ReestimationWindow::new(config.reestimate_window),
+        shared_window: ReestimationWindow::new(config.reestimate_window, config.path_length),
         shared_epoch: 0,
         epoch_counter: 0,
         plan_cache: config.perf.plan_cache.then(PlanCache::new),

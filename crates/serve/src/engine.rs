@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 
 use lina_baselines::InferScheme;
-use lina_core::{PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};
+use lina_core::{PathCounts, PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};
 use lina_model::CostModel;
 use lina_netsim::Topology;
 use lina_runner::inference::{run_inference_batch, InferenceConfig};
@@ -195,33 +195,41 @@ impl ServeConfig {
 }
 
 /// Sliding window of recently served batches feeding online
-/// re-profiling. Evicting the oldest batch is O(1) (`VecDeque`), so a
-/// long run with a large window stays linear in batches dispatched.
+/// re-profiling. The window keeps the integer path counts of the
+/// batches it holds up to date on every push, eviction and flush, so
+/// a re-profile only normalizes them; evicting the oldest batch is
+/// O(1) in the window size.
 pub(crate) struct ReestimationWindow {
     batches: VecDeque<TokenBatch>,
     cap: usize,
+    counts: PathCounts,
 }
 
 impl ReestimationWindow {
-    /// An empty window holding at most `cap` batches.
-    pub(crate) fn new(cap: usize) -> Self {
+    /// An empty window holding at most `cap` batches, counting sample
+    /// paths up to `path_length` layers long.
+    pub(crate) fn new(cap: usize, path_length: usize) -> Self {
         ReestimationWindow {
             batches: VecDeque::new(),
             cap,
+            counts: PathCounts::new(path_length),
         }
     }
 
     /// Pushes a served batch, evicting the oldest past the cap.
     pub(crate) fn push(&mut self, batch: TokenBatch) {
+        self.counts.add(&batch);
         self.batches.push_back(batch);
         if self.batches.len() > self.cap {
-            self.batches.pop_front();
+            let oldest = self.batches.pop_front().expect("over-cap window");
+            self.counts.remove(&oldest);
         }
     }
 
-    /// Re-profiles a popularity estimator from the windowed batches.
-    pub(crate) fn profile(&mut self, path_length: usize) -> PopularityEstimator {
-        PopularityEstimator::profile(self.batches.make_contiguous(), path_length)
+    /// The popularity estimator of the windowed batches: bit-identical
+    /// to [`PopularityEstimator::profile`] over them.
+    pub(crate) fn profile(&self) -> PopularityEstimator {
+        self.counts.snapshot()
     }
 
     /// No batches observed yet (an emergency re-placement has nothing
@@ -236,23 +244,65 @@ impl ReestimationWindow {
     /// cost estimates.
     pub(crate) fn clear(&mut self) {
         self.batches.clear();
+        self.counts.clear();
+    }
+}
+
+/// Sliding window of per-expert load over recently dispatched batches:
+/// the signal the re-sharding monitor reads. It keeps only each
+/// batch's per-expert counts, not its tokens.
+pub(crate) struct LoadWindow {
+    batches: VecDeque<Vec<u64>>,
+    cap: usize,
+    experts: usize,
+}
+
+impl LoadWindow {
+    /// An empty window over `experts` experts holding at most `cap`
+    /// batches.
+    pub(crate) fn new(cap: usize, experts: usize) -> Self {
+        LoadWindow {
+            batches: VecDeque::new(),
+            cap,
+            experts,
+        }
     }
 
-    /// Token-selections routed to each expert across the windowed
-    /// batches, summed over every layer — the per-expert load signal
-    /// the re-sharding monitor reads.
-    pub(crate) fn expert_token_counts(&self, experts: usize) -> Vec<u64> {
-        let mut counts = vec![0u64; experts];
-        for batch in &self.batches {
-            for tok in &batch.tokens {
-                for layer in &tok.selections {
-                    for &e in layer {
-                        counts[e as usize] += 1;
-                    }
+    /// Records a dispatched batch's load, evicting the oldest past the
+    /// cap.
+    pub(crate) fn push(&mut self, batch: &TokenBatch) {
+        let mut counts = if self.batches.len() == self.cap {
+            self.batches.pop_front().expect("a full window")
+        } else {
+            Vec::new()
+        };
+        counts.clear();
+        counts.resize(self.experts, 0);
+        for tok in &batch.tokens {
+            for layer in &tok.selections {
+                for &e in layer {
+                    counts[e as usize] += 1;
                 }
             }
         }
-        counts
+        self.batches.push_back(counts);
+    }
+
+    /// Drops every windowed batch.
+    pub(crate) fn clear(&mut self) {
+        self.batches.clear();
+    }
+
+    /// Token-selections routed to each expert across the windowed
+    /// batches, summed over every layer.
+    pub(crate) fn expert_token_counts(&self) -> Vec<u64> {
+        let mut total = vec![0u64; self.experts];
+        for counts in &self.batches {
+            for (t, c) in total.iter_mut().zip(counts) {
+                *t += c;
+            }
+        }
+        total
     }
 }
 

@@ -6,8 +6,8 @@
 //! next batches. Between epochs, a drifting workload leaves the hot
 //! expert pinned to one device. This module closes that gap with a
 //! continuous control loop (HarMoEny-style): an online per-expert load
-//! monitor (reusing the same [`ReestimationWindow`] samples the
-//! re-estimator reads) feeds a [`ReshardPolicy`] that, mid-serving,
+//! monitor (a [`LoadWindow`] over the same dispatched batches the
+//! re-estimator samples) feeds a [`ReshardPolicy`] that, mid-serving,
 //! emits [`ReshardAction`]s — replicate a hot expert onto another
 //! device, evict a cold replica, or migrate an expert wholesale. The
 //! cluster event loop evaluates the policy at a fixed control interval
@@ -16,7 +16,7 @@
 //! the plan-cache placement epoch so executors re-plan against the new
 //! shard map.
 //!
-//! [`ReestimationWindow`]: crate::engine::ReestimationWindow
+//! [`LoadWindow`]: crate::engine::LoadWindow
 
 use lina_simcore::{SimDuration, SimTime};
 

@@ -28,13 +28,6 @@ impl TokenPath {
     pub fn primary(&self, layer: usize) -> u16 {
         self.selections[layer][0]
     }
-
-    /// The expert-id path suffix `(layer - l + 1 ..= layer)` of primary
-    /// selections, used as the estimator's sample-path key.
-    pub fn path_suffix(&self, layer: usize, l: usize) -> Vec<u16> {
-        let start = (layer + 1).saturating_sub(l);
-        (start..=layer).map(|i| self.primary(i)).collect()
-    }
 }
 
 /// A batch of tokens spread across devices.
@@ -292,15 +285,12 @@ mod tests {
     }
 
     #[test]
-    fn paths_and_suffixes() {
+    fn primary_is_the_first_selection() {
         let tok = TokenPath {
             class: 0,
-            selections: vec![vec![3], vec![7], vec![1], vec![4]],
+            selections: vec![vec![3, 0], vec![7], vec![1, 5], vec![4]],
         };
         assert_eq!(tok.primary(2), 1);
-        assert_eq!(tok.path_suffix(3, 2), vec![1, 4]);
-        assert_eq!(tok.path_suffix(3, 10), vec![3, 7, 1, 4]);
-        assert_eq!(tok.path_suffix(0, 3), vec![3]);
     }
 
     #[test]
